@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-baseline bench-compare bench-smoke fault-smoke obs-smoke parallel-smoke adapt-smoke batch-smoke sessions-smoke health-smoke fusion-smoke docs-check vet fmt check examples experiments clean
+.PHONY: all build test race bench bench-baseline bench-compare bench-smoke fault-smoke obs-smoke parallel-smoke adapt-smoke batch-smoke sessions-smoke health-smoke fusion-smoke stress gatebench-smoke docs-check vet fmt check examples experiments clean
 
 all: build test
 
@@ -21,8 +21,10 @@ race:
 # the fault-injection survival scenario, the end-to-end span smoke, the
 # parallel-execution smoke, the adaptation-autopilot smoke, the
 # batched-handoff smoke, the multi-session scale smoke, the health-model
-# smoke, the chain-fusion smoke, and the documentation linter.
-check: build test race bench-smoke fault-smoke obs-smoke parallel-smoke adapt-smoke batch-smoke sessions-smoke health-smoke fusion-smoke docs-check
+# smoke, the chain-fusion smoke, the repeated runtime tests on one and two
+# cores, the gatebench module's tests plus one smoke pass, and the
+# documentation linter.
+check: build test race bench-smoke fault-smoke obs-smoke parallel-smoke adapt-smoke batch-smoke sessions-smoke health-smoke fusion-smoke stress gatebench-smoke docs-check
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -109,6 +111,18 @@ health-smoke:
 # entries (exits nonzero if not).
 fusion-smoke:
 	$(GO) run ./cmd/mobibench -exp fusion
+
+# Concurrency repeat: the runtime and front-end packages ten times over at
+# one and at two cores, where a one-off green run hides ordering races.
+stress:
+	$(GO) test -count=10 -cpu 1,2 ./internal/queue ./internal/streamlet ./internal/stream ./internal/server ./internal/session
+
+# The benchmark module (bench/, its own go.mod): its tests, then one quick
+# gatebench pass on control-churn, the workload that exercises set-up,
+# reconfiguration and back-to-back sessions as well as the data path.
+gatebench-smoke:
+	$(GO) test -C bench ./...
+	$(GO) run -C bench ./gatebench -workload control-churn -smoke
 
 # Documentation linter: every docs/*.md page must be linked from README.md,
 # every relative markdown link must resolve, and fenced MCL / CLI examples

@@ -121,6 +121,12 @@ func Hops(cfg HopsConfig) (HopBreakdown, error) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+	// The communicator counts a message as sent inside Process, but files
+	// its hop record only after Process returns: let the chain settle
+	// before reading the traces.
+	for !st.CanTerminate() && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	out.Delivered = int(delivered)
 	if delivered > 0 {
 		out.AvgTransmit = link.Elapsed() / time.Duration(delivered)

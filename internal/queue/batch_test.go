@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,7 +181,8 @@ func TestFetchNSteadyStateAllocFree(t *testing.T) {
 // TestBatchedRandomizedStress mixes the batch operations with the
 // single-item ones under -race: concurrent Post/PostN producers against
 // Fetch/FetchN/TryFetchN consumers, with a mid-run Close, asserting message
-// conservation, per-producer FIFO, and goroutine-leak freedom.
+// conservation, exactly-once delivery, per-consumer per-producer FIFO, and
+// goroutine-leak freedom.
 func TestBatchedRandomizedStress(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for seed := int64(0); seed < 4; seed++ {
@@ -209,17 +209,10 @@ func batchStressRun(t *testing.T, seed int64, mode mcl.ChannelMode) {
 
 	const producers, consumers, opsPerWorker = 4, 3, 60
 
-	var fetchedCount atomic.Int64
-	var mu sync.Mutex
-	var order []string // every fetched MsgID, in fetch order
-	record := func(items []Item) {
-		fetchedCount.Add(int64(len(items)))
-		mu.Lock()
-		for _, it := range items {
-			order = append(order, it.MsgID)
-		}
-		mu.Unlock()
-	}
+	// Each consumer records what it fetched privately, in its own fetch
+	// order. A log shared across consumers would be appended outside the
+	// queue lock, so its order would not be fetch order.
+	fetched := make([][]string, consumers)
 
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -257,6 +250,11 @@ func batchStressRun(t *testing.T, seed int64, mode mcl.ChannelMode) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed*37 + int64(cn)))
 			dst := make([]Item, 8)
+			record := func(items []Item) {
+				for _, it := range items {
+					fetched[cn] = append(fetched[cn], it.MsgID)
+				}
+			}
 			for {
 				switch rng.Intn(4) {
 				case 0:
@@ -308,25 +306,38 @@ func batchStressRun(t *testing.T, seed int64, mode mcl.ChannelMode) {
 		residual += int64(n)
 	}
 
-	// Conservation: everything the queue accepted is fetched or residual.
+	// Conservation: everything the queue accepted is fetched exactly once
+	// or residual.
+	seen := map[string]bool{}
+	for _, ids := range fetched {
+		for _, id := range ids {
+			if seen[id] {
+				t.Fatalf("seed %d %v: %s fetched twice", seed, mode, id)
+			}
+			seen[id] = true
+		}
+	}
 	posted, _, _ := q.Stats()
-	if int64(posted) != fetchedCount.Load()+residual {
+	if int64(posted) != int64(len(seen))+residual {
 		t.Errorf("seed %d %v: conservation broken: accepted %d != fetched %d + residual %d",
-			seed, mode, posted, fetchedCount.Load(), residual)
+			seed, mode, posted, len(seen), residual)
 	}
 	if q.Len() != 0 || q.QueuedBytes() != 0 {
 		t.Errorf("seed %d %v: drained queue reports Len=%d Bytes=%d", seed, mode, q.Len(), q.QueuedBytes())
 	}
 
 	// FIFO: each producer posts strictly increasing sequence numbers from a
-	// single goroutine, so the fetch order projected onto one producer must
-	// be strictly increasing too (drops may skip numbers, never reorder).
-	last := map[string]string{}
-	for _, id := range order {
-		p := id[:2] // "pN"
-		if prev, ok := last[p]; ok && id <= prev {
-			t.Fatalf("seed %d %v: producer %s reordered: %s fetched after %s", seed, mode, p, id, prev)
+	// single goroutine, so what one consumer fetched, projected onto one
+	// producer, must be strictly increasing too (drops may skip numbers,
+	// never reorder).
+	for cn, ids := range fetched {
+		last := map[string]string{}
+		for _, id := range ids {
+			p := id[:2] // "pN"
+			if prev, ok := last[p]; ok && id <= prev {
+				t.Fatalf("seed %d %v: consumer %d saw producer %s reordered: %s after %s", seed, mode, cn, p, id, prev)
+			}
+			last[p] = id
 		}
-		last[p] = id
 	}
 }

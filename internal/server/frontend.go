@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -162,6 +163,9 @@ func (f *Frontend) gateway(name string) (*SessionGateway, error) {
 	if g, ok := f.gwPool[name]; ok {
 		return g, nil
 	}
+	if cfg := f.srv.Config(); cfg == nil || cfg.Stream(name) == nil {
+		return nil, fmt.Errorf("unknown stream %q", name)
+	}
 	if !SessionSafe(f.srv.Config(), name) {
 		f.gwPool[name] = nil
 		if h := f.srv.opts.ErrorHandler; h != nil {
@@ -179,8 +183,7 @@ func (f *Frontend) gateway(name string) (*SessionGateway, error) {
 
 func (f *Frontend) handleConn(conn net.Conn) error {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	req, err := mime.ReadMessage(br)
+	req, err := mime.ReadMessage(bufio.NewReader(conn))
 	if err != nil {
 		return fmt.Errorf("reading request: %w", err)
 	}
@@ -188,20 +191,35 @@ func (f *Frontend) handleConn(conn net.Conn) error {
 	if name == "" {
 		return fmt.Errorf("request lacks %s header", HeaderRequestStream)
 	}
+	gw, err := f.gateway(name)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(conn)
+	if gw != nil {
+		err = f.serveShared(gw, name, f.source, req, bw)
+	} else {
+		err = f.serveChain(name, f.source, req, bw)
+	}
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// serveChain runs one session on its own deployed instance of the named
+// stream: src(req) feeds the entry port and the exit port is relayed to w.
+// The session ends exactly when the feed has closed and every fed message
+// was delivered or counted by the chain as consumed.
+func (f *Frontend) serveChain(name string, src Source, req *mime.Message, w io.Writer) error {
 	cfg := f.srv.Config()
 	if cfg == nil || cfg.Stream(name) == nil {
 		return fmt.Errorf("unknown stream %q", name)
-	}
-	if gw, err := f.gateway(name); err != nil {
-		return err
-	} else if gw != nil {
-		return f.handleSharedConn(conn, req, gw, name)
 	}
 	entry, exit, err := EntryExit(cfg.Stream(name))
 	if err != nil {
 		return err
 	}
-
 	alias := fmt.Sprintf("%s#%d", name, f.connID.Add(1))
 	st, err := f.srv.DeployInstance(name, alias)
 	if err != nil {
@@ -220,77 +238,26 @@ func (f *Frontend) handleConn(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-
-	// Feed the origin flow.
-	feedDone := make(chan struct{})
 	var fed atomic.Int64
-	go func() {
-		defer close(feedDone)
-		for m := range f.source(req) {
-			if err := inlet.Send(m); err != nil {
-				return
-			}
+	send := func(m *mime.Message) error {
+		err := inlet.Send(m)
+		if err == nil {
 			fed.Add(1)
 		}
-	}()
-
-	// Relay adapted messages to the client until the feed completes and
-	// everything fed has come out (or errored away).
-	bw := bufio.NewWriter(conn)
-	var sent int64
-	feedClosed := false
-	for {
-		m, err := outlet.TryReceive()
-		if err != nil {
-			return err
-		}
-		if m == nil {
-			// Fed messages may legitimately shrink in count (drops,
-			// merges); the session ends when everything fed has come out
-			// or the pipeline is fully drained. A final sweep catches
-			// emissions racing the drain check.
-			if feedClosed && (sent >= fed.Load() || st.CanTerminate()) {
-				for {
-					m, err := outlet.TryReceive()
-					if err != nil {
-						return err
-					}
-					if m == nil {
-						break
-					}
-					if _, err := m.WriteToV(bw); err != nil {
-						return err
-					}
-					sent++
-				}
-				break
-			}
-			select {
-			case <-feedDone:
-				feedClosed = true
-			case <-time.After(200 * time.Microsecond):
-			}
-			continue
-		}
-		m.SetHeader(HeaderSeq, strconv.FormatInt(sent, 10))
-		if _, err := m.WriteToV(bw); err != nil {
-			return err
-		}
-		sent++
+		return err
 	}
-	return bw.Flush()
+	r := &relay{w: w}
+	return r.run(src(req), send, outlet.TryReceive, nil, func() int64 {
+		return fed.Load() - r.sent - st.Consumed()
+	})
 }
 
-// handleSharedConn serves one connection as a logical session on the
-// stream's shared gateway. The feeder posts through SendWait, so the
-// session's own quota acts as backpressure (the feed stalls until earlier
-// deliveries release their reservations) rather than loss; plane-wide
-// load sheds and oversized messages drop the message but keep the session
-// alive. The connection ends when the feed completes and every admitted
-// message was delivered — or, when the chain consumed some (drops,
-// merges), after a short drain grace, with the session's remaining
-// reservations reconciled by Abort.
-func (f *Frontend) handleSharedConn(conn net.Conn, req *mime.Message, gw *SessionGateway, name string) error {
+// serveShared serves one session on the stream's shared gateway. SendWait
+// makes the session's quota backpressure; load sheds drop the message, not
+// the session. Outstanding cannot see messages the shared chain consumed,
+// so running out the drain grace is a normal end here, followed by
+// Disconnect's barrier, a final sweep and an Abort reconcile.
+func (f *Frontend) serveShared(gw *SessionGateway, name string, src Source, req *mime.Message, w io.Writer) error {
 	sessID := fmt.Sprintf("%s#%d", name, f.connID.Add(1))
 	sess, deliveries, err := gw.Connect(sessID)
 	if err != nil {
@@ -300,79 +267,100 @@ func (f *Frontend) handleSharedConn(conn net.Conn, req *mime.Message, gw *Sessio
 	mSessionsActive.Add(1)
 	defer mSessionsActive.Add(-1)
 
+	send := func(m *mime.Message) error {
+		if err := gw.SendWait(sess, m); err != session.ErrQuota && err != session.ErrShed {
+			return err
+		}
+		return nil
+	}
+	r := &relay{w: w}
+	err = r.run(src(req), send, nil, deliveries, func() int64 {
+		return sess.Outstanding() + int64(len(deliveries))
+	})
+	if errors.Is(err, errUnaccounted) {
+		err = nil
+	}
+	// Disconnect waits out the gateway's in-flight handoff, so one sweep
+	// of the buffered channel then sees everything ever routed.
+	gw.Disconnect(sessID)
+	for len(deliveries) > 0 {
+		if m := <-deliveries; err == nil {
+			err = r.write(m)
+		}
+	}
+	sess.Abort() // no-op unless the chain consumed admitted messages
+	return err
+}
+
+// drainGrace is how long a relay waits on accounting that has stopped moving.
+const drainGrace = 2 * time.Second
+
+var errUnaccounted = errors.New("relay: drain grace expired with messages unaccounted for")
+
+// relay writes one session's deliveries to the client, stamping each with
+// the next X-Seq.
+type relay struct {
+	w    io.Writer
+	sent int64
+}
+
+func (r *relay) write(m *mime.Message) error {
+	m.SetHeader(HeaderSeq, strconv.FormatInt(r.sent, 10))
+	if _, err := m.WriteToV(r.w); err != nil {
+		return err
+	}
+	r.sent++
+	return nil
+}
+
+// run feeds src through send on its own goroutine and relays deliveries,
+// taken from next without blocking or from ready as they exist (either may
+// be nil; the relay polls every 200µs), until the feed has ended and pending
+// reports nothing unaccounted for. Should pending then sit nonzero and
+// unchanged, with nothing delivered, for drainGrace, run returns errUnaccounted.
+func (r *relay) run(src <-chan *mime.Message, send func(*mime.Message) error, next func() (*mime.Message, error), ready <-chan *mime.Message, pending func() int64) error {
 	feedDone := make(chan struct{})
 	go func() {
 		defer close(feedDone)
-		for m := range f.source(req) {
-			if err := gw.SendWait(sess, m); err != nil &&
-				err != session.ErrQuota && err != session.ErrShed {
+		for m := range src {
+			if send(m) != nil {
 				return
 			}
 		}
 	}()
-
-	bw := bufio.NewWriter(conn)
-	var sent int64
-	write := func(m *mime.Message) error {
-		m.SetHeader(HeaderSeq, strconv.FormatInt(sent, 10))
-		if _, err := m.WriteToV(bw); err != nil {
+	closed, last, quiet := false, int64(0), time.Time{}
+	for {
+		var m *mime.Message
+		var err error
+		if next != nil {
+			m, err = next()
+		}
+		if m == nil && err == nil {
+			if closed {
+				switch n := pending(); {
+				case n == 0:
+					return nil
+				case quiet.IsZero() || n != last:
+					last, quiet = n, time.Now()
+				case time.Since(quiet) > drainGrace:
+					return fmt.Errorf("%w: %d", errUnaccounted, n)
+				}
+			}
+			select {
+			case m = <-ready:
+			case <-feedDone:
+				closed, feedDone = true, nil
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+		if m != nil && err == nil {
+			err = r.write(m)
+			quiet = time.Time{}
+		}
+		if err != nil {
 			return err
 		}
-		sent++
-		return nil
 	}
-	var werr error
-	feedClosed := false
-	var quiet time.Time
-relay:
-	for {
-		select {
-		case m := <-deliveries:
-			if werr = write(m); werr != nil {
-				break relay
-			}
-			quiet = time.Time{}
-		case <-feedDone:
-			feedClosed = true
-			feedDone = nil // receive once; the timeout arm drives the exit
-		case <-time.After(200 * time.Microsecond):
-			if !feedClosed {
-				continue
-			}
-			if sess.Outstanding() == 0 && len(deliveries) == 0 {
-				break relay
-			}
-			// The chain may have consumed admitted messages (drops,
-			// merges): give the drain a grace window, then reconcile.
-			if quiet.IsZero() {
-				quiet = time.Now()
-			} else if time.Since(quiet) > 2*time.Second {
-				break relay
-			}
-		}
-	}
-	// Disconnect barriers the relay's in-flight handoff (its write lock
-	// waits out the read-locked Release+send), so one final sweep of the
-	// buffered channel observes everything that was ever routed.
-	gw.Disconnect(sessID)
-	for {
-		select {
-		case m := <-deliveries:
-			if werr == nil {
-				werr = write(m)
-			}
-			continue
-		default:
-		}
-		break
-	}
-	if sess.State() == session.StateDraining {
-		sess.Abort()
-	}
-	if werr != nil {
-		return werr
-	}
-	return bw.Flush()
 }
 
 // Close stops accepting and waits for in-flight connections. The metrics
@@ -408,78 +396,5 @@ func (f *Frontend) Close() error {
 // messages are written to w in wire format. Used by tests and the CLI's
 // one-shot mode.
 func (f *Frontend) ServeRequest(name string, src <-chan *mime.Message, w io.Writer) error {
-	cfg := f.srv.Config()
-	if cfg == nil || cfg.Stream(name) == nil {
-		return fmt.Errorf("unknown stream %q", name)
-	}
-	entry, exit, err := EntryExit(cfg.Stream(name))
-	if err != nil {
-		return err
-	}
-	alias := fmt.Sprintf("%s#req%d", name, f.connID.Add(1))
-	st, err := f.srv.DeployInstance(name, alias)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = f.srv.Undeploy(alias) }()
-	mSessionsTotal.Inc()
-	mSessionsActive.Add(1)
-	defer mSessionsActive.Add(-1)
-
-	inlet, err := st.OpenInlet(entry, 0)
-	if err != nil {
-		return err
-	}
-	outlet, err := st.OpenOutlet(exit)
-	if err != nil {
-		return err
-	}
-	var fed int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for m := range src {
-			if err := inlet.Send(m); err != nil {
-				return
-			}
-			atomic.AddInt64(&fed, 1)
-		}
-	}()
-	var sent int64
-	finished := false
-	for {
-		m, err := outlet.TryReceive()
-		if err != nil {
-			return err
-		}
-		if m == nil {
-			if finished && (sent >= atomic.LoadInt64(&fed) || st.CanTerminate()) {
-				for {
-					m, err := outlet.TryReceive()
-					if err != nil {
-						return err
-					}
-					if m == nil {
-						return nil
-					}
-					m.SetHeader(HeaderSeq, strconv.FormatInt(sent, 10))
-					if _, err := m.WriteToV(w); err != nil {
-						return err
-					}
-					sent++
-				}
-			}
-			select {
-			case <-done:
-				finished = true
-			case <-time.After(200 * time.Microsecond):
-			}
-			continue
-		}
-		m.SetHeader(HeaderSeq, strconv.FormatInt(sent, 10))
-		if _, err := m.WriteToV(w); err != nil {
-			return err
-		}
-		sent++
-	}
+	return f.serveChain(name, func(*mime.Message) <-chan *mime.Message { return src }, nil, w)
 }

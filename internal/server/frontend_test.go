@@ -44,6 +44,19 @@ func sourceOf(bodies [][]byte) Source {
 	}
 }
 
+// waitUntil polls cond until it holds or five seconds pass, reporting
+// whether it held.
+func waitUntil(cond func() bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 func TestEndToEndTCPSession(t *testing.T) {
 	dir := streamlet.NewDirectory()
 	services.RegisterAll(dir)
@@ -108,12 +121,8 @@ func TestEndToEndTCPSession(t *testing.T) {
 		}
 	}
 	// Session cleaned up.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(srv.Deployed()) > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := srv.Deployed(); len(got) != 0 {
-		t.Errorf("sessions leaked: %v", got)
+	if !waitUntil(func() bool { return len(srv.Deployed()) == 0 }) {
+		t.Errorf("sessions leaked: %v", srv.Deployed())
 	}
 }
 
@@ -227,15 +236,11 @@ func TestHandleConnErrors(t *testing.T) {
 	_, _ = req.WriteTo(conn)
 	conn.Close()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
+	if !waitUntil(func() bool {
 		mu.Lock()
-		n := len(errs)
-		mu.Unlock()
-		if n > 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
+		defer mu.Unlock()
+		return len(errs) > 0
+	}) {
+		t.Error("bad request produced no error")
 	}
-	t.Error("bad request produced no error")
 }

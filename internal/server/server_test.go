@@ -2,8 +2,8 @@ package server
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"mobigate/internal/event"
 	"mobigate/internal/mcl"
@@ -171,22 +171,32 @@ main stream app {
 	if err := s.Raise(event.LOW_BANDWIDTH, ""); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for st.Reconfigurations() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(func() bool { return st.Reconfigurations() != 0 })
 	if st.Reconfigurations() != 1 {
 		t.Errorf("reconfigurations = %d", st.Reconfigurations())
 	}
-	// Events of non-subscribed categories do not reach the stream.
+	// Events of non-subscribed categories do not reach the stream. The
+	// manager dispatches in order to subscribers in subscription order, so
+	// once a later subscriber of that category has the event, the stream
+	// would have had it too.
+	probe := &eventProbe{}
+	s.Events().Subscribe(event.HardwareVariation, probe)
 	if err := s.Raise(event.LOW_ENERGY, ""); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	if !waitUntil(func() bool { return probe.got.Load() }) {
+		t.Fatal("LOW_ENERGY never dispatched")
+	}
 	if st.Reconfigurations() != 1 {
 		t.Error("unsubscribed category delivered")
 	}
 }
+
+// eventProbe records that an event reached it.
+type eventProbe struct{ got atomic.Bool }
+
+func (p *eventProbe) SubscriberName() string     { return "probe" }
+func (p *eventProbe) OnEvent(event.ContextEvent) { p.got.Store(true) }
 
 func TestDeployRegistersUnknownEvents(t *testing.T) {
 	src := `

@@ -219,15 +219,11 @@ func TestSharedSessionsAdmissionCap(t *testing.T) {
 	}
 	defer first.Close()
 	// Wait until the first session holds the only table slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g, _ := fe.gateway("shared"); g != nil && g.Table().Len() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first session never admitted")
-		}
-		time.Sleep(time.Millisecond)
+	if !waitUntil(func() bool {
+		g, _ := fe.gateway("shared")
+		return g != nil && g.Table().Len() == 1
+	}) {
+		t.Fatal("first session never admitted")
 	}
 
 	second, err := dial()
@@ -371,10 +367,7 @@ func TestSharedSessionsStatefulFallback(t *testing.T) {
 	}
 	// Per-connection fallback deploys no shared aliases, and the session's
 	// own instance is undeployed once the connection ends.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.Deployed()) > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(func() bool { return len(srv.Deployed()) == 0 })
 	for _, alias := range srv.Deployed() {
 		if strings.Contains(alias, "~shared") {
 			t.Fatalf("shared instance deployed for stateful stream: %s", alias)

@@ -35,9 +35,12 @@ func TestSessionSweeper(t *testing.T) {
 		}
 	}()
 
-	// Both sessions quiet past the threshold: one sweep demotes both.
-	time.Sleep(20 * time.Millisecond)
-	if idled := fe.SweepSessions(10 * time.Millisecond); idled != 2 {
+	// Both sessions go quiet past the threshold: sweeps demote each once.
+	idled := 0
+	if !waitUntil(func() bool {
+		idled += fe.SweepSessions(10 * time.Millisecond)
+		return idled >= 2
+	}) || idled != 2 {
 		t.Fatalf("SweepSessions demoted %d, want 2", idled)
 	}
 	if st := s0.State(); st != session.StateIdle {
@@ -60,12 +63,8 @@ func TestSessionSweeper(t *testing.T) {
 	// The ticker-driven sweeper demotes the re-activated session on its
 	// own; stop is idempotent.
 	stop := fe.StartSessionSweeper(5*time.Millisecond, 5*time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for s0.State() != session.StateIdle {
-		if time.Now().After(deadline) {
-			t.Fatal("sweeper never demoted the quiet session")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !waitUntil(func() bool { return s0.State() == session.StateIdle }) {
+		t.Fatal("sweeper never demoted the quiet session")
 	}
 	stop()
 	stop()

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,16 +26,11 @@ import (
 // evaluation, so a degraded residue from earlier tests recovers here).
 func settleHealthz(t *testing.T, base string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	if !waitUntil(func() bool {
 		code, _ := httpGet(t, base+"/healthz")
-		if code == http.StatusOK {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("healthz never settled to 200")
-		}
-		time.Sleep(5 * time.Millisecond)
+		return code == http.StatusOK
+	}) {
+		t.Fatal("healthz never settled to 200")
 	}
 }
 
@@ -191,6 +187,9 @@ func TestWatchHealthzConcurrentChurn(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// Rounds each kind of worker completed; the run lasts until all three
+	// have overlapped for a while.
+	var churned, watched, scraped atomic.Int64
 
 	// Session churn: connect, post/fetch/release, disconnect.
 	for g := 0; g < 4; g++ {
@@ -216,6 +215,7 @@ func TestWatchHealthzConcurrentChurn(t *testing.T) {
 					s.Release(128, int64(time.Microsecond))
 				}
 				tbl.Disconnect(id)
+				churned.Add(1)
 			}
 		}(g)
 	}
@@ -240,6 +240,7 @@ func TestWatchHealthzConcurrentChurn(t *testing.T) {
 					resp.Body.Close()
 				}
 				cancel()
+				watched.Add(1)
 			}
 		}()
 	}
@@ -263,23 +264,26 @@ func TestWatchHealthzConcurrentChurn(t *testing.T) {
 				if err == nil {
 					r2.Body.Close()
 				}
+				scraped.Add(1)
 			}
 		}()
 	}
 
-	time.Sleep(500 * time.Millisecond)
+	ran := waitUntil(func() bool {
+		return churned.Load() >= 100 && watched.Load() >= 16 && scraped.Load() >= 16
+	})
 	close(stop)
 	wg.Wait()
+	if !ran {
+		t.Fatalf("workers stalled: %d churn, %d watch, %d scrape rounds",
+			churned.Load(), watched.Load(), scraped.Load())
+	}
 
 	// Handlers notice the cancelled contexts asynchronously; give the
 	// gauge a moment to drain back to zero.
 	g := obs.DefaultIntGauge(obs.MWatchClients)
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("watch clients gauge %d after all subscribers left", g.Value())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !waitUntil(func() bool { return g.Value() == 0 }) {
+		t.Fatalf("watch clients gauge %d after all subscribers left", g.Value())
 	}
 }
 

@@ -214,6 +214,10 @@ type Stream struct {
 	lastTiming ReconfigTiming
 	reconfigs  atomic.Uint64
 
+	// consumed is the count every member reports the messages it finished
+	// with into (streamlet.ShareConsumed); composites share their parent's.
+	consumed *atomic.Int64
+
 	// Fusion state (fuse.go): the live fused segments, the opt-out switch,
 	// and the mutex serializing fuse/defuse passes together with the
 	// reconfigurations they bracket. fuseMu is taken before st.mu and never
@@ -243,6 +247,7 @@ func New(name string, pool *msgpool.Pool, dir *streamlet.Directory) *Stream {
 		queues:        make(map[string]*queue.Queue),
 		whens:         make(map[string][]mcl.Stmt),
 		pendingDetach: make(map[*queue.Queue]mcl.PortRef),
+		consumed:      new(atomic.Int64),
 	}
 }
 
@@ -309,6 +314,7 @@ func (st *Stream) addStreamletLocked(id string, decl *mcl.StreamletDecl, proc st
 	}
 	s := streamlet.New(id, decl, proc, st.pool)
 	s.ErrorHandler = st.fail
+	s.ShareConsumed(st.consumed)
 	if st.runtimeTypeCheck {
 		s.EnableTypeCheck(st.registry)
 	}
@@ -327,6 +333,7 @@ func (st *Stream) AddComposite(id string, inner *Stream, portMap map[string]mcl.
 	if _, dup := st.nodes[id]; dup {
 		return fmt.Errorf("stream %s: duplicate instance %q", st.name, id)
 	}
+	inner.shareConsumed(st.consumed)
 	st.nodes[id] = compositeNode{inner: inner, portMap: portMap}
 	if st.started {
 		inner.Start()
@@ -1017,6 +1024,29 @@ func (st *Stream) Dropped() uint64 {
 		total += n.dropped()
 	}
 	return total
+}
+
+// Consumed returns the net number of messages the chain finished with
+// other than by delivering them at an exit: dropped, filtered out, failed
+// or abandoned, less the extra messages fan-out made. Once the feed has
+// closed, fed == delivered + Consumed() holds exactly when the chain holds
+// no message.
+func (st *Stream) Consumed() int64 { return st.consumed.Load() }
+
+// shareConsumed points the stream and every member at c, so a composite
+// reports into its enclosing stream's count.
+func (st *Stream) shareConsumed(c *atomic.Int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.consumed = c
+	for _, n := range st.nodes {
+		switch n := n.(type) {
+		case nativeNode:
+			n.s.ShareConsumed(c)
+		case compositeNode:
+			n.inner.shareConsumed(c)
+		}
+	}
 }
 
 // End terminates every member and closes every channel (END).

@@ -153,11 +153,13 @@ func (s *Streamlet) batchPump(port string, q *queue.Queue, stop chan struct{}, p
 	}
 }
 
-// abandonTail accounts for fetched items abandoned at shutdown, with the
-// semantics End documents for the single-item pump.
+// abandonTail accounts for n fetched items abandoned at shutdown, with the
+// semantics End documents: handled as far as the queue is concerned, and
+// consumed as far as the stream is.
 func (s *Streamlet) abandonTail(q *queue.Queue, n int) {
 	s.inflight.Add(int64(-n))
 	q.AckN(n)
+	s.consume(int64(n))
 }
 
 // runBatch processes one batched handoff on the serial worker: produce and
@@ -254,6 +256,7 @@ func (s *Streamlet) flushRun(q *queue.Queue, run []sinkEntry, scratch *[]queue.E
 	if err != nil && err != queue.ErrDropped {
 		s.fail(fmt.Errorf("streamlet %s: post to %s: %w", s.id, q.Name(), err))
 	}
+	s.consume(int64(len(failed)))
 	var flushEnd int64
 	if spansOn {
 		flushEnd = obs.MonoNow()

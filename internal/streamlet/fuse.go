@@ -204,6 +204,7 @@ func (seg *FusedSegment) runOne(it workItem) {
 	msg, err := head.pool.Get(it.msgID)
 	if err != nil {
 		head.fail(fmt.Errorf("streamlet %s: %w", head.id, err))
+		head.consume(1)
 		return
 	}
 	seg.headID = it.msgID
@@ -237,6 +238,7 @@ func (seg *FusedSegment) runStage(k int, msg *mime.Message, wait time.Duration, 
 		mTypeErrorsTotal.Inc()
 		m.fail(err)
 		seg.retire(msg.ID)
+		m.consume(1)
 		return
 	}
 	// Mirrors produce: capture what the trace needs before Process runs,
@@ -279,12 +281,14 @@ func (seg *FusedSegment) runStage(k int, msg *mime.Message, wait time.Duration, 
 	// cleanup, as End documents). err: the supervisor already accounted the
 	// fault; surface it and release the pool entry if this id carries it.
 	if res.aborted {
+		m.consume(1)
 		return
 	}
 	inID := msg.ID
 	if res.err != nil {
 		m.fail(fmt.Errorf("streamlet %s: process: %w", m.id, res.err))
 		seg.retire(inID)
+		m.consume(1)
 		return
 	}
 	if !res.bypassed {
@@ -310,6 +314,9 @@ func (seg *FusedSegment) runStage(k int, msg *mime.Message, wait time.Duration, 
 		peerID = p.PeerID()
 	}
 
+	// Interior emissions stay in-stack rather than queued, but settle the
+	// same way: each stage's input became its emissions.
+	m.settle(res.emissions)
 	last := k == len(seg.members)-1
 	kept := false
 	for i := range res.emissions {

@@ -77,8 +77,7 @@ func (s *Streamlet) parallelWorker() {
 			return
 		case it := <-s.work:
 			if s.State() == StateEnded {
-				s.inflight.Add(-1)
-				it.src.Ack() // abandoned on shutdown
+				s.abandonTail(it.src, 1) // abandoned on shutdown
 				return
 			}
 			mWorkersBusy.Add(1)
@@ -89,8 +88,7 @@ func (s *Streamlet) parallelWorker() {
 			case <-s.done:
 				// Shutdown raced the handoff; the item is abandoned with
 				// End's documented semantics.
-				s.inflight.Add(-1)
-				it.src.Ack()
+				s.abandonTail(it.src, 1)
 				return
 			}
 		}

@@ -232,6 +232,9 @@ type Streamlet struct {
 	inflight  atomic.Int64
 	processed atomic.Uint64
 	dropped   atomic.Uint64
+	// consumed is the stream-wide count this streamlet reports into (nil
+	// when standalone; see ShareConsumed).
+	consumed *atomic.Int64
 
 	// procHist is the per-instance process-latency histogram, shared with
 	// every instance of the same id (per-session deployments reuse MCL
@@ -301,6 +304,38 @@ func New(id string, decl *mcl.StreamletDecl, proc Processor, pool *msgpool.Pool)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// ShareConsumed makes the streamlet report into c, the count its stream
+// keeps of messages the chain finished with other than by passing them on:
+// +1 for each input dropped, filtered out, failed or abandoned, and -(k-1)
+// for each input turned into k > 1 emissions. Debits land before the extra
+// emissions are posted and credits only once the message is gone, so
+// fed - delivered - consumed never undercounts the messages still inside
+// the chain. Call before Start.
+func (s *Streamlet) ShareConsumed(c *atomic.Int64) {
+	s.mu.Lock()
+	s.consumed = c
+	s.mu.Unlock()
+}
+
+// consume adds n to the shared consumption count.
+func (s *Streamlet) consume(n int64) {
+	if s.consumed != nil && n != 0 {
+		s.consumed.Add(n)
+	}
+}
+
+// settle reports an input that left Process as emissions: every input
+// beyond the one becomes a debit, no emission at all a credit.
+func (s *Streamlet) settle(emissions []Emission) {
+	k := int64(0)
+	for _, em := range emissions {
+		if em.Msg != nil {
+			k++
+		}
+	}
+	s.consume(1 - k)
 }
 
 // ID returns the instance identifier.
@@ -540,8 +575,7 @@ func (s *Streamlet) startPumpLocked(port string, q *queue.Queue) {
 				select {
 				case s.tokens <- struct{}{}:
 				case <-s.done:
-					s.inflight.Add(-1)
-					q.Ack()
+					s.abandonTail(q, 1)
 					return
 				}
 			}
@@ -554,14 +588,12 @@ func (s *Streamlet) startPumpLocked(port string, q *queue.Queue) {
 				select {
 				case s.work <- item:
 				case <-s.done:
-					s.inflight.Add(-1)
-					q.Ack() // abandoned: account it as handled
+					s.abandonTail(q, 1) // abandoned: account it as handled
 					return
 				}
 				return
 			case <-s.done:
-				s.inflight.Add(-1)
-				q.Ack()
+				s.abandonTail(q, 1)
 				return
 			}
 		}
@@ -696,8 +728,7 @@ func (s *Streamlet) worker() {
 			// pause gate guarantees no new ones arrive — so reconfiguration
 			// drains terminate. Only termination abandons work.
 			if s.State() == StateEnded {
-				s.inflight.Add(-1)
-				it.src.Ack() // abandoned on shutdown
+				s.abandonTail(it.src, 1) // abandoned on shutdown
 				return
 			}
 			c := s.produce(it, slot)
@@ -795,6 +826,7 @@ func (s *Streamlet) produce(it workItem, slot *execSlot) completion {
 // pool forward, peer chain, supersede accounting — exactly in place.
 func (s *Streamlet) finish(c *completion, sink *emitSink) {
 	if c.skip {
+		s.consume(1)
 		return
 	}
 	it := c.it
@@ -802,6 +834,7 @@ func (s *Streamlet) finish(c *completion, sink *emitSink) {
 	if res.aborted {
 		// The streamlet ended mid-call: the message is abandoned exactly as
 		// End documents; its pool entry stays for stream-level cleanup.
+		s.consume(1)
 		return
 	}
 	if res.err != nil {
@@ -810,9 +843,11 @@ func (s *Streamlet) finish(c *completion, sink *emitSink) {
 		// pool entry is released.
 		s.fail(fmt.Errorf("streamlet %s: process: %w", s.id, res.err))
 		s.pool.Remove(it.msgID)
+		s.consume(1)
 		return
 	}
 	emissions := res.emissions
+	s.settle(emissions)
 	if !res.bypassed {
 		s.processed.Add(1)
 		mProcessedTotal.Inc()
@@ -977,6 +1012,7 @@ func (s *Streamlet) emitTo(em Emission, peerID string, sp *spanEmit, sink *emitS
 		s.fail(fmt.Errorf("streamlet %s: no queue bound to output port %q; message %s lost",
 			s.id, em.Port, em.Msg.ID))
 		s.pool.Remove(em.Msg.ID)
+		s.consume(1)
 		return false
 	}
 	var fwdStart int64
@@ -993,6 +1029,7 @@ func (s *Streamlet) emitTo(em Emission, peerID string, sp *spanEmit, sink *emitS
 	fid, err := s.pool.Forward(em.Msg.ID)
 	if err != nil {
 		s.fail(err)
+		s.consume(1)
 		return false
 	}
 	if sink != nil {
@@ -1002,6 +1039,7 @@ func (s *Streamlet) emitTo(em Emission, peerID string, sp *spanEmit, sink *emitS
 	if err := q.Post(fid, size, s.done); err != nil {
 		s.dropped.Add(1)
 		mDroppedTotal.Inc()
+		s.consume(1)
 		if fid != em.Msg.ID {
 			// The dropped deep copy never left the pool; reclaim its body.
 			if c := s.pool.Take(fid); c != nil {
