@@ -33,11 +33,11 @@ bench:
 # Figure 7-2 streamlet overhead, both Figure 7-3 buffer-management modes,
 # the span-tracing overhead pair (off = production hot path, on =
 # diagnosis), the per-service transform costs, the parallel fan-out chain,
-# the transcode cache, the batched chain sweep, the vectored encode, the
-# session layer (connect/disconnect churn + post/release hot path), and the
+# the batched chain sweep, the vectored encode, the session layer
+# (connect/disconnect churn + post/release hot path), and the
 # sampled-session SLO observation path, and the fused-vs-unfused stateless
 # chain pair.
-GATED_BENCH = 'QueuePostFetch|Fig72StreamletOverhead|Fig73Pass|SpanOverhead|ServiceStreamlets|ParallelChain|TranscodeCache|BatchChain|MIMEWriteToV|SessionChurn|SessionSLOSample|FusedChain'
+GATED_BENCH = 'QueuePostFetch|Fig72StreamletOverhead|Fig73Pass|SpanOverhead|ServiceStreamlets|ParallelChain|BatchChain|MIMEWriteToV|SessionChurn|SessionSLOSample|FusedChain'
 BENCH_FILE  = BENCH_PR2.json
 # Hot paths that must stay allocation-free even on their first benchmarked
 # run (no baseline entry needed): the batched queue ops, both encode
@@ -69,9 +69,8 @@ fault-smoke:
 
 # Parallel-execution smoke: workers fan-out must deliver every message in
 # FIFO order at every width, keep the resequencer's parked depth within its
-# workers-1 bound, speed up >= 2x at 4 workers when >= 4 cores are
-# available, and the transcode cache's warm pass must run zero transforms
-# (exits nonzero if not).
+# workers-1 bound, and speed up >= 2x at 4 workers when >= 4 cores are
+# available (exits nonzero if not).
 parallel-smoke:
 	$(GO) run ./cmd/mobibench -exp parallel
 

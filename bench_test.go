@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"mobigate/internal/cache"
 	"mobigate/internal/event"
 	"mobigate/internal/experiments"
 	"mobigate/internal/mcl"
@@ -490,47 +489,6 @@ func BenchmarkParallelChain(b *testing.B) {
 				if _, err := out.Receive(30 * time.Second); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkTranscodeCache compares the raw gif2jpeg transform against a
-// content-addressed cache hit replaying the memoized result.
-func BenchmarkTranscodeCache(b *testing.B) {
-	img := services.GenImageMessage(64, 64, 1)
-	hit := cache.Wrap(&services.Transcoder{}, cache.New(0))
-	if _, err := hit.Process(streamlet.Input{Port: "pi", Msg: img.Clone()}); err != nil {
-		b.Fatal(err) // warm the single entry the hit case replays
-	}
-	cases := []struct {
-		name string
-		proc streamlet.Processor
-	}{
-		{"off", &services.Transcoder{}},
-		{"hit", hit},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			const chunk = 256
-			msgs := make([]*mime.Message, chunk)
-			b.ResetTimer()
-			for done := 0; done < b.N; {
-				n := chunk
-				if rem := b.N - done; rem < n {
-					n = rem
-				}
-				b.StopTimer()
-				for i := 0; i < n; i++ {
-					msgs[i] = img.Clone()
-				}
-				b.StartTimer()
-				for i := 0; i < n; i++ {
-					if _, err := c.proc.Process(streamlet.Input{Port: "pi", Msg: msgs[i]}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				done += n
 			}
 		})
 	}

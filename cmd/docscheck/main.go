@@ -16,6 +16,10 @@
 //   - the metric catalog (internal/obs/catalog.go) and the metric tables
 //     in docs/OBSERVABILITY.md must list exactly the same series names,
 //     in both directions.
+//   - every exported function and method under internal/ must have a
+//     non-test caller outside its package (in internal/, cmd/, examples/,
+//     mobigate.go or bench/), or be named in cmd/docscheck/exports.allow,
+//     a list that may only shrink.
 //
 // Run from the repository root (make docs-check does). Exits nonzero on
 // any finding.
@@ -64,6 +68,7 @@ func main() {
 
 	checkMobibenchModes(report)
 	checkMetricCatalog(report)
+	checkExports(report)
 
 	files := append([]string{"README.md", "EXPERIMENTS.md", "ROADMAP.md"}, pages...)
 	for _, path := range files {

@@ -9,7 +9,7 @@
 //	mobibench -exp hops     # per-hop time composition (§7.3 breakdown)
 //	mobibench -exp faults   # fault-injection survival (supervision subsystem)
 //	mobibench -exp spans    # end-to-end span trees across the link
-//	mobibench -exp parallel # workers fan-out scaling + transcode cache sweep
+//	mobibench -exp parallel # workers fan-out scaling
 //	mobibench -exp adapt    # autopilot when-policies vs static compositions
 //	mobibench -exp batch    # batched-handoff sweep (delivery + FIFO asserted)
 //	mobibench -exp sessions # multi-session shared-plane scale (conservation + admission)
@@ -60,7 +60,7 @@ var experimentsTable = []struct {
 	{"hops", "per-hop time composition (§7.3 breakdown)", runHops},
 	{"faults", "fault-injection survival (supervision subsystem)", runFaults},
 	{"spans", "end-to-end span trees across the link", runSpans},
-	{"parallel", "workers fan-out scaling + transcode cache sweep", runParallel},
+	{"parallel", "workers fan-out scaling", runParallel},
 	{"adapt", "autopilot when-policies vs static compositions", runAdapt},
 	{"batch", "batched-handoff sweep (delivery + FIFO asserted)", runBatch},
 	{"sessions", "multi-session shared-plane scale (conservation + admission)", runSessions},
@@ -281,11 +281,10 @@ func runHops() {
 
 // runParallel runs the order-preserving parallel-execution experiment:
 // workers-scaling curves for the CPU-bound transcoders with exact-delivery
-// and FIFO assertions, and the content-addressed transcode-cache sweep
-// whose warm pass must execute zero transforms. make parallel-smoke relies
-// on the non-zero exit when any invariant breaks.
+// and FIFO assertions. make parallel-smoke relies on the non-zero exit when
+// any invariant breaks.
 func runParallel() {
-	fmt.Println("=== Parallel execution plane: workers fan-out + transcode cache ===")
+	fmt.Println("=== Parallel execution plane: workers fan-out ===")
 	res, err := experiments.Parallel(experiments.DefaultParallelConfig())
 	if res != nil {
 		fmt.Print(res)

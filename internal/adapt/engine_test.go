@@ -139,7 +139,7 @@ main stream s {
 	if got := eng.Actions(); got != 1 {
 		t.Fatalf("actions = %d, want 1", got)
 	}
-	comp, ok := streamlet.Base(st.Streamlet("tc").Processor()).(*services.Compressor)
+	comp, ok := st.Streamlet("tc").Processor().(*services.Compressor)
 	if !ok {
 		t.Fatalf("tc processor is %T", st.Streamlet("tc").Processor())
 	}

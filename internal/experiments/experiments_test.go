@@ -3,6 +3,9 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"mobigate/internal/msgpool"
+	"mobigate/internal/obs"
 )
 
 func TestFig72ShapeLinear(t *testing.T) {
@@ -31,25 +34,45 @@ func TestFig72ShapeLinear(t *testing.T) {
 	}
 }
 
+// TestFig73ByReferenceWins checks the Figure 7-3 claim in counts, not
+// time: the by-reference pool forwards a message down a redirector chain
+// without copying its body at all, while the by-value pool deep-copies it
+// at every hop, so its copied bytes grow with the message size. The timing
+// curve itself is mobibench's (-exp fig7.3) and gatebench's to report.
 func TestFig73ByReferenceWins(t *testing.T) {
-	// 40 samples per mode: the median latency discriminates the per-hop copy
-	// cost from scheduler jitter now that the coordination plane itself is
-	// cheap; 8 samples was enough only when queue overhead dwarfed both.
-	rows, err := Fig73([]int{10 * 1024, 400 * 1024}, 10, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.ByReference >= r.ByValue {
-			t.Errorf("size %d: by-ref %v not faster than by-value %v",
-				r.MessageBytes, r.ByReference, r.ByValue)
+	const redirectors, msgs = 10, 5
+	copies := obs.DefaultCounter(obs.MPoolCopyTotal)
+	// copiesPerMsg sends msgs messages of size bytes through a chain over
+	// the given pool mode and returns the pool copies each one cost.
+	copiesPerMsg := func(mode msgpool.Mode, size int) uint64 {
+		st, in, out, err := buildRedirectorChain(redirectors, mode)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer st.End()
+		before := copies.Value()
+		for i := 0; i < msgs; i++ {
+			if err := roundTrip(in, out, size, int64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return (copies.Value() - before) / msgs
 	}
-	// The gap must widen with message size (the paper's >200 KB knee).
-	gapSmall := rows[0].ByValue - rows[0].ByReference
-	gapLarge := rows[1].ByValue - rows[1].ByReference
-	if gapLarge <= gapSmall {
-		t.Errorf("gap did not widen: %v -> %v", gapSmall, gapLarge)
+	var valBytes []uint64
+	for _, size := range []int{10 * 1024, 400 * 1024} {
+		if ref := copiesPerMsg(msgpool.ByReference, size); ref != 0 {
+			t.Errorf("size %d: by-reference made %d copies (%d bytes) per message, want 0",
+				size, ref, ref*uint64(size))
+		}
+		val := copiesPerMsg(msgpool.ByValue, size)
+		if val == 0 {
+			t.Errorf("size %d: by-value made no copies", size)
+		}
+		// Every copy clones the whole body.
+		valBytes = append(valBytes, val*uint64(size))
+	}
+	if valBytes[1] <= valBytes[0] {
+		t.Errorf("by-value copied bytes per message did not grow with size: %v", valBytes)
 	}
 }
 

@@ -2,9 +2,7 @@ package experiments
 
 // The parallel-execution experiment behind `mobibench -exp parallel` and
 // `make parallel-smoke`: a throughput scaling curve (workers × CPU-bound
-// transform chains) with exact-delivery and FIFO assertions, plus a
-// content-addressed transcode-cache sweep whose hit path is counter-
-// asserted to perform zero transform calls.
+// transform chains) with exact-delivery and FIFO assertions.
 
 import (
 	"fmt"
@@ -13,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"mobigate/internal/cache"
 	"mobigate/internal/mcl"
 	"mobigate/internal/mime"
 	"mobigate/internal/msgpool"
@@ -35,8 +32,6 @@ type ParallelConfig struct {
 	ImageSide int
 	// TextBytes is the text payload size (compress chain input).
 	TextBytes int
-	// Distinct is how many distinct bodies the cache sweep cycles through.
-	Distinct int
 	// Seed makes the generated workload reproducible.
 	Seed int64
 	// ReceiveTimeout bounds each outlet receive.
@@ -50,7 +45,6 @@ func DefaultParallelConfig() ParallelConfig {
 		Messages:       300,
 		ImageSide:      64,
 		TextBytes:      32 << 10,
-		Distinct:       8,
 		Seed:           7,
 		ReceiveTimeout: 10 * time.Second,
 	}
@@ -72,20 +66,10 @@ type ParallelRow struct {
 	Speedup float64
 }
 
-// CacheRow is one pass of the cache sweep.
-type CacheRow struct {
-	Label          string
-	Messages       int
-	HitRatio       float64
-	MsgsPerSec     float64
-	TransformCalls uint64 // transform executions during this pass
-}
-
 // ParallelResult is everything the experiment measured.
 type ParallelResult struct {
-	Cores     int
-	Rows      []ParallelRow
-	CacheRows []CacheRow
+	Cores int
+	Rows  []ParallelRow
 }
 
 // String renders the result tables.
@@ -101,13 +85,6 @@ func (r *ParallelResult) String() string {
 		fmt.Fprintf(&b, "%8s  %8d  %7.0f  %7.2fx  %5d  %9d  %8d  %10d\n",
 			row.Service, row.Workers, row.MsgsPerSec, row.Speedup,
 			row.Sent, row.Delivered, row.Reorders, row.ReseqPeak)
-	}
-	if len(r.CacheRows) > 0 {
-		b.WriteString("\n cache pass      msgs   hit-ratio   msgs/s   transform-calls\n")
-		for _, cr := range r.CacheRows {
-			fmt.Fprintf(&b, "%11s  %6d  %9.2f  %7.0f  %15d\n",
-				cr.Label, cr.Messages, cr.HitRatio, cr.MsgsPerSec, cr.TransformCalls)
-		}
 	}
 	return b.String()
 }
@@ -131,10 +108,9 @@ func chainInput(service string, cfg ParallelConfig, seed int64) *mime.Message {
 }
 
 // runParallelChain pushes cfg.Messages through inlet → service → outlet
-// with the given fan-out width and checks conservation and FIFO. proc is
-// the processor to deploy (possibly memo-wrapped); msgs are the payload
-// templates cycled over (cloned per send).
-func runParallelChain(service string, workers int, proc streamlet.Processor, msgs []*mime.Message, cfg ParallelConfig) (ParallelRow, error) {
+// with the given fan-out width and checks conservation and FIFO. msg is
+// the payload template (cloned per send).
+func runParallelChain(service string, workers int, proc streamlet.Processor, msg *mime.Message, cfg ParallelConfig) (ParallelRow, error) {
 	row := ParallelRow{Service: service, Workers: workers}
 	pool := msgpool.New(msgpool.ByReference)
 	st := stream.New(fmt.Sprintf("par-%s-%d", service, workers), pool, nil)
@@ -159,7 +135,7 @@ func runParallelChain(service string, workers int, proc streamlet.Processor, msg
 	start := time.Now()
 	go func() {
 		for i := 0; i < cfg.Messages; i++ {
-			m := msgs[i%len(msgs)].Clone()
+			m := msg.Clone()
 			m.SetHeader(parSeqHeader, strconv.Itoa(i))
 			if err := in.Send(m); err != nil {
 				sendErr <- fmt.Errorf("send %d: %w", i, err)
@@ -196,23 +172,22 @@ func runParallelChain(service string, workers int, proc streamlet.Processor, msg
 	return row, nil
 }
 
-// Parallel runs the scaling curve for both CPU-bound chains and the cache
-// sweep, returning an error when any invariant the smoke gate relies on is
-// broken: lost or duplicated messages, any reorder, a resequencer depth
-// above its workers-1 bound, a sub-2x speedup at 4 workers on a ≥4-core
-// machine, or a cache hit pass that executed the transform.
+// Parallel runs the scaling curve for both CPU-bound chains, returning an
+// error when any invariant the smoke gate relies on is broken: lost or
+// duplicated messages, any reorder, a resequencer depth above its
+// workers-1 bound, or a sub-2x speedup at 4 workers on a ≥4-core machine.
 func Parallel(cfg ParallelConfig) (*ParallelResult, error) {
 	res := &ParallelResult{Cores: runtime.GOMAXPROCS(0)}
 
 	for _, service := range []string{"gif2jpeg", "compress"} {
-		msgs := []*mime.Message{chainInput(service, cfg, cfg.Seed)}
+		msg := chainInput(service, cfg, cfg.Seed)
 		var base float64
 		for _, w := range cfg.Workers {
 			proc, err := chainProc(service)
 			if err != nil {
 				return res, err
 			}
-			row, err := runParallelChain(service, w, proc, msgs, cfg)
+			row, err := runParallelChain(service, w, proc, msg, cfg)
 			if err != nil {
 				return res, err
 			}
@@ -244,66 +219,5 @@ func Parallel(cfg ParallelConfig) (*ParallelResult, error) {
 		}
 	}
 
-	if err := runCacheSweep(cfg, res); err != nil {
-		return res, err
-	}
 	return res, nil
-}
-
-// runCacheSweep measures the content-addressed cache on the gif2jpeg chain:
-// a cold pass over Distinct distinct bodies (all misses), then a warm pass
-// cycling the same bodies (all hits). The warm pass must execute the
-// transform zero times — that is the acceptance counter.
-func runCacheSweep(cfg ParallelConfig, res *ParallelResult) error {
-	c := cache.New(0)
-	proc, err := chainProc("gif2jpeg")
-	if err != nil {
-		return err
-	}
-	memo, ok := cache.Wrap(proc, c).(*cache.Memo)
-	if !ok {
-		return fmt.Errorf("parallel: transcoder did not wrap into a cache memo")
-	}
-	msgs := make([]*mime.Message, cfg.Distinct)
-	for i := range msgs {
-		msgs[i] = chainInput("gif2jpeg", cfg, cfg.Seed+int64(i))
-	}
-
-	for _, pass := range []string{"cold", "warm"} {
-		n := cfg.Messages
-		if pass == "cold" {
-			n = cfg.Distinct // one miss per distinct body
-		}
-		passCfg := cfg
-		passCfg.Messages = n
-		before := c.Stats()
-		callsBefore := memo.InnerCalls()
-		row, err := runParallelChain("gif2jpeg", 4, memo, msgs, passCfg)
-		if err != nil {
-			return fmt.Errorf("cache %s pass: %w", pass, err)
-		}
-		after := c.Stats()
-		calls := memo.InnerCalls() - callsBefore
-		hits := after.Hits - before.Hits
-		lookups := hits + (after.Misses - before.Misses)
-		cr := CacheRow{
-			Label:          pass,
-			Messages:       n,
-			MsgsPerSec:     row.MsgsPerSec,
-			TransformCalls: calls,
-		}
-		if lookups > 0 {
-			cr.HitRatio = float64(hits) / float64(lookups)
-		}
-		res.CacheRows = append(res.CacheRows, cr)
-		if pass == "warm" {
-			if calls != 0 {
-				return fmt.Errorf("cache warm pass: transform ran %d times (want 0)", calls)
-			}
-			if cr.HitRatio < 1 {
-				return fmt.Errorf("cache warm pass: hit ratio %.2f (want 1.00)", cr.HitRatio)
-			}
-		}
-	}
-	return nil
 }

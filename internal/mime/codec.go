@@ -19,6 +19,13 @@ import (
 
 const maxHeaderBytes = 64 << 10
 
+// maxBodyBytes bounds the Content-Length ReadMessage accepts. The body
+// buffer is allocated before any body byte arrives, so an unchecked length
+// lets one header line from a peer make the gateway allocate (or, past the
+// address space, panic on) whatever it names. 64 MiB is far above the
+// largest body the evaluation sends (400 KiB in Figure 7-3).
+const maxBodyBytes = 64 << 20
+
 // appendHeaders appends the canonical wire header block — every declared
 // header, then Message-Id and Content-Length re-emitted canonically, then
 // the terminating blank line — to buf.
@@ -168,6 +175,9 @@ func ReadMessage(r *bufio.Reader) (*Message, error) {
 	n := parseContentLength(m.Header(HeaderContentLength))
 	if n < 0 {
 		return nil, fmt.Errorf("mime: missing or invalid Content-Length")
+	}
+	if n > maxBodyBytes {
+		return nil, fmt.Errorf("mime: Content-Length %d exceeds %d bytes", n, maxBodyBytes)
 	}
 	m.ID = m.Header(HeaderMessageID)
 	if m.ID == "" {

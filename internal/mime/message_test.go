@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -204,6 +207,26 @@ func TestReadMessageHeaderCap(t *testing.T) {
 	sb.WriteString("Content-Length: 0\r\n\r\n")
 	if _, err := ReadMessage(bufio.NewReader(strings.NewReader(sb.String()))); err == nil {
 		t.Error("oversized header block accepted")
+	}
+}
+
+// TestReadMessageBodyCap: a Content-Length past the bound is refused
+// before the body buffer is allocated — neither the int64 maximum (which
+// would panic in make) nor a length just over the bound grows the heap by
+// anything like the length it names.
+func TestReadMessageBodyCap(t *testing.T) {
+	for _, n := range []int64{math.MaxInt64, maxBodyBytes + 1} {
+		in := "Content-Length: " + strconv.FormatInt(n, 10) + "\r\n\r\nabc"
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadMessage(bufio.NewReader(strings.NewReader(in)))
+		runtime.ReadMemStats(&after)
+		if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+			t.Errorf("Content-Length %d: want a length error, got %v", n, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("Content-Length %d: heap grew %d bytes", n, grew)
+		}
 	}
 }
 

@@ -231,35 +231,6 @@ func (p *Pool) Take(id string) *mime.Message {
 	return m
 }
 
-// Replace atomically substitutes the stored message for id with m (a
-// streamlet that transformed the body in place registers the result). The
-// returned identifier is m's (which may differ from id). The old entry is
-// removed when the identifiers differ.
-func (p *Pool) Replace(id string, m *mime.Message) string {
-	si, di := shardIndex(id), shardIndex(m.ID)
-	s, d := &p.shards[si], &p.shards[di]
-	// Take both shard locks in ascending index order.
-	switch {
-	case si == di:
-		s.mu.Lock()
-	case si < di:
-		s.mu.Lock()
-		d.mu.Lock()
-	default:
-		d.mu.Lock()
-		s.mu.Lock()
-	}
-	if old, ok := s.msgs[id]; ok && old.ID != m.ID {
-		s.removeLocked(id)
-	}
-	d.putLocked(m)
-	s.mu.Unlock()
-	if si != di {
-		d.mu.Unlock()
-	}
-	return m.ID
-}
-
 // Len returns the number of pooled messages.
 func (p *Pool) Len() int {
 	n := 0

@@ -97,29 +97,6 @@ func TestForwardUnknown(t *testing.T) {
 	}
 }
 
-func TestReplace(t *testing.T) {
-	p := New(ByReference)
-	orig := msg("original body")
-	id := p.Put(orig)
-	smaller := msg("tiny")
-	nid := p.Replace(id, smaller)
-	if nid != smaller.ID {
-		t.Errorf("Replace returned %q", nid)
-	}
-	if _, err := p.Get(id); err == nil {
-		t.Error("old entry survived Replace")
-	}
-	if p.Bytes() != int64(smaller.Len()) || p.Len() != 1 {
-		t.Errorf("Bytes=%d Len=%d", p.Bytes(), p.Len())
-	}
-	// Replace with itself (transform in place, same ID).
-	smaller.SetBody([]byte("tiny-grown"))
-	p.Replace(smaller.ID, smaller)
-	if p.Bytes() != int64(smaller.Len()) {
-		t.Errorf("in-place replace bytes = %d", p.Bytes())
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if ByReference.String() != "by-reference" || ByValue.String() != "by-value" {
 		t.Error("mode strings")

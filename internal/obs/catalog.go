@@ -36,7 +36,6 @@ const (
 	MStreamletProcessSeconds = "mobigate_streamlet_process_seconds"
 	MStreamProcessedTotal    = "mobigate_stream_processed_total"
 	MStreamDroppedTotal      = "mobigate_stream_dropped_total"
-	MStreamTypeErrorsTotal   = "mobigate_stream_type_errors_total"
 	MStreamReconfigSeconds   = "mobigate_stream_reconfig_seconds"
 	// Reconfigurations aborted because a drain deadline passed with
 	// messages still in flight (§6.6 message-loss avoidance refused to
@@ -51,15 +50,9 @@ const (
 	MFusionDefuseTotal = "mobigate_fusion_defuse_total"
 
 	// Parallel execution mode (per-streamlet worker fan-out behind a
-	// sequence-numbered resequencer) and the content-addressed transcode
-	// cache (internal/cache).
+	// sequence-numbered resequencer).
 	MStreamletWorkersBusy = "mobigate_streamlet_workers_busy"
 	MStreamletReseqDepth  = "mobigate_streamlet_resequencer_depth"
-	MCacheHitsTotal       = "mobigate_cache_hits_total"
-	MCacheMissesTotal     = "mobigate_cache_misses_total"
-	MCacheEvictionsTotal  = "mobigate_cache_evictions_total"
-	MCacheEntries         = "mobigate_cache_entries"
-	MCacheBytes           = "mobigate_cache_bytes"
 
 	// Execution-plane fault supervision (panic containment, processing
 	// deadlines, per-streamlet recovery policies) and fault injection.
@@ -164,11 +157,7 @@ func registerCatalog(r *Registry) {
 		{MPoolCopyTotal, "Deep copies made by the pass-by-value pool mode (Figure 7-3 baseline)."},
 		{MStreamProcessedTotal, "processMsg executions across all streamlets."},
 		{MStreamDroppedTotal, "Messages lost to full output queues (wait-then-drop, paragraph 6.7) or dropped by fault supervision."},
-		{MStreamTypeErrorsTotal, "Messages dropped by the paragraph 4.1 runtime port-type check."},
 		{MStreamDrainTimeoutsTotal, "Reconfigurations aborted because draining did not finish before the deadline (paragraph 6.6)."},
-		{MCacheHitsTotal, "Transcode-cache lookups that skipped the transform entirely."},
-		{MCacheMissesTotal, "Transcode-cache lookups that fell through to the transform."},
-		{MCacheEvictionsTotal, "Transcode-cache entries evicted to stay under the byte bound."},
 		{MFaultInjectedTotal, "Faults injected by the internal/fault injectors (panics, errors, stalls)."},
 		{MFaultPanicsTotal, "Processor panics recovered by the streamlet supervisor."},
 		{MFaultStallsTotal, "Processor executions abandoned after exceeding the per-message deadline."},
@@ -221,8 +210,6 @@ func registerCatalog(r *Registry) {
 		{MFusedSegments, "Stateless pipeline segments currently running as direct-call fused hops."},
 		{MStreamletWorkersBusy, "Parallel streamlet workers currently executing Process."},
 		{MStreamletReseqDepth, "Completions parked in resequencers waiting for an earlier sequence number."},
-		{MCacheEntries, "Entries currently held by transcode caches."},
-		{MCacheBytes, "Body bytes currently held by transcode caches."},
 		{MSessionLive, "Logical sessions currently admitted (active or idle)."},
 		{MSessionDraining, "Logical sessions disconnected but still draining in-flight messages."},
 		{MSessionQueuedBytes, "Bytes admitted against session quotas and not yet released by delivery."},

@@ -57,10 +57,6 @@ const (
 	FlightEvent
 	// FlightSLO is a latency-budget violation raised by the SLO tracker.
 	FlightSLO
-	// FlightCacheHit / FlightCacheMiss are transcode-cache data-plane
-	// events (journaled only while spans are enabled, like enqueue).
-	FlightCacheHit
-	FlightCacheMiss
 	// FlightAdapt is a when-policy firing by the adaptation autopilot
 	// (Subject: "stream/rule-id"; Detail: condition, trigger reading, and
 	// action; Value: the reading that fired the rule).
@@ -100,7 +96,7 @@ const (
 var flightCodeNames = [...]string{
 	"enqueue", "dequeue", "suspend", "activate", "drain", "heal", "fault",
 	"blackout", "restored", "reconfig", "handoff", "bandwidth", "event", "slo",
-	"cache-hit", "cache-miss", "adapt", "batch-flush",
+	"adapt", "batch-flush",
 	"session-connect", "session-disconnect", "session-shed",
 	"health-degraded", "health-recovered", "fuse", "defuse",
 }

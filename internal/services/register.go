@@ -47,18 +47,16 @@ func RegisterAll(dir *streamlet.Directory) {
 
 	// Capability traits (execution-plane contracts the coordination plane
 	// enforces): Parallelizable marks pure per-message transforms legal for
-	// `workers > 1` fan-out; Deterministic marks the content-addressable
-	// ones the transcode cache may memoize (they also implement
-	// cache.Keyer); PoolPreferred marks the expensive transcoders whose
+	// `workers > 1` fan-out; PoolPreferred marks the expensive transcoders whose
 	// instance pooling (§3.3.4) pays for its overhead — everything else is
 	// constructed fresh per stream since the pooling ablation showed the
 	// pool costs more than a trivial constructor.
-	pure := streamlet.Traits{Parallelizable: true, Deterministic: true, PoolPreferred: true}
+	pure := streamlet.Traits{Parallelizable: true, PoolPreferred: true}
 	dir.SetTraits(LibDownSample, pure)
 	dir.SetTraits(LibGray16, pure)
 	dir.SetTraits(LibGif2Jpeg, pure)
 	dir.SetTraits(LibTextCompress, pure)
-	dir.SetTraits(LibPS2Text, streamlet.Traits{Parallelizable: true, Deterministic: true})
+	dir.SetTraits(LibPS2Text, streamlet.Traits{Parallelizable: true})
 	dir.SetTraits(LibFooter, streamlet.Traits{Parallelizable: true})
 	dir.SetTraits(LibDecompress, streamlet.Traits{Parallelizable: true})
 	dir.SetTraits(LibRedirector, streamlet.Traits{Parallelizable: true})

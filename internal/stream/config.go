@@ -27,7 +27,6 @@ func FromConfig(cfg *mcl.Config, name string, pool *msgpool.Pool, dir *streamlet
 		return nil, fmt.Errorf("stream: no compiled stream %q", name)
 	}
 	st := New(name, pool, dir)
-	st.registry = cfg.Registry
 	st.file = cfg.File
 	st.cfg = cfg
 
@@ -96,7 +95,6 @@ func (st *Stream) RunWhen(eventID string) error {
 	st.mu.Lock()
 	st.recordReconfigLocked(timing)
 	st.mu.Unlock()
-	st.verifyAfterReconfig()
 	return nil
 }
 

@@ -73,16 +73,6 @@ func (st *Stream) SetFusion(on bool) error {
 	return nil
 }
 
-// FuseNow runs one fusion pass immediately and reports how many segments
-// were newly fused. Normally unnecessary — Start and every reconfiguration
-// primitive already run the pass — but useful for tests and benchmarks that
-// want fusion to have settled before measuring.
-func (st *Stream) FuseNow() int {
-	st.fuseMu.Lock()
-	defer st.fuseMu.Unlock()
-	return st.fusePass()
-}
-
 // FusedSegments returns the member-id chains of the live fused segments.
 func (st *Stream) FusedSegments() [][]string {
 	st.mu.Lock()
@@ -207,19 +197,15 @@ func (st *Stream) DisconnectAll(inst string) error {
 	return err
 }
 
-// fusePass discovers and fuses every currently fusable run, returning how
-// many segments were newly fused. Caller holds st.fuseMu (never st.mu).
-func (st *Stream) fusePass() int {
+// fusePass discovers and fuses every currently fusable run. Caller holds
+// st.fuseMu (never st.mu).
+func (st *Stream) fusePass() {
 	st.mu.Lock()
 	cands := st.candidatesLocked()
 	st.mu.Unlock()
-	fused := 0
 	for _, c := range cands {
-		if st.fuseSegment(c) {
-			fused++
-		}
+		st.fuseSegment(c)
 	}
-	return fused
 }
 
 // candidatesLocked scans the routing table for maximal fusable runs.
@@ -347,7 +333,7 @@ func (st *Stream) candidatesLocked() []fuseCandidate {
 // head's pump for the fused pump, reactivate. A drain timeout skips the
 // segment (fusion is opportunistic); the stream keeps running unfused.
 // Caller holds st.fuseMu.
-func (st *Stream) fuseSegment(c fuseCandidate) bool {
+func (st *Stream) fuseSegment(c fuseCandidate) {
 	head := c.members[0]
 	head.Pause()
 	drained := waitUntil(time.Now().Add(drainWait), func() bool {
@@ -367,7 +353,7 @@ func (st *Stream) fuseSegment(c fuseCandidate) bool {
 		head.Activate()
 		mDrainTimeouts.Inc()
 		obs.FlightRecord(obs.FlightDrain, st.name, "fuse "+c.ids[0]+" timeout", int64(drainWait))
-		return false
+		return
 	}
 	seg, err := streamlet.NewFusedSegment(c.members, c.ports)
 	if err == nil {
@@ -376,7 +362,7 @@ func (st *Stream) fuseSegment(c fuseCandidate) bool {
 	if err != nil {
 		head.Activate()
 		st.fail(fmt.Errorf("stream %s: fuse %s: %w", st.name, strings.Join(c.ids, ">"), err))
-		return false
+		return
 	}
 	head.Activate()
 	fs := &fusedSeg{seg: seg, members: make(map[*streamlet.Streamlet]bool, len(c.members)), ids: c.ids}
@@ -390,7 +376,6 @@ func (st *Stream) fuseSegment(c fuseCandidate) bool {
 	if obs.SpansEnabled() {
 		obs.FlightRecord(obs.FlightFuse, st.name, strings.Join(c.ids, ">"), int64(len(c.ids)))
 	}
-	return true
 }
 
 // defuseTouching dissolves every fused segment containing any of the named

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mobigate/internal/cache"
 	"mobigate/internal/mcl"
 	"mobigate/internal/services"
 )
@@ -89,57 +88,6 @@ main stream s {
 	}
 	if !strings.Contains(err.Error(), "not registered as parallelizable") {
 		t.Errorf("error = %v", err)
-	}
-}
-
-// TestTranscodeCacheEndToEnd runs the cache through a live stream: the same
-// image sent twice must transcode once, and both deliveries must carry the
-// transcoded body.
-func TestTranscodeCacheEndToEnd(t *testing.T) {
-	c := cache.New(0)
-	st := New("cachetest", nil, nil)
-	st.EnableTranscodeCache(c)
-	if _, err := st.AddStreamlet("t", nil, &services.Transcoder{}); err != nil {
-		t.Fatal(err)
-	}
-	memo, ok := st.Streamlet("t").Processor().(*cache.Memo)
-	if !ok {
-		t.Fatal("transcoder not wrapped by the stream's cache")
-	}
-	in, err := st.OpenInlet(ref("t", "pi"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := st.OpenOutlet(ref("t", "po"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Start()
-	t.Cleanup(st.End)
-
-	img := services.GenImageMessage(32, 32, 5)
-	var bodies [2][]byte
-	for i := 0; i < 2; i++ {
-		if err := in.Send(img.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		got, err := out.Receive(5 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct := got.ContentType().String(); ct == "image/gif" {
-			t.Errorf("delivery %d still carries the input content type %s", i, ct)
-		}
-		bodies[i] = append([]byte(nil), got.Body()...)
-	}
-	if string(bodies[0]) != string(bodies[1]) {
-		t.Error("cached delivery differs from transcoded delivery")
-	}
-	if calls := memo.InnerCalls(); calls != 1 {
-		t.Errorf("transform ran %d times for 2 identical sends, want 1", calls)
-	}
-	if stats := c.Stats(); stats.Hits != 1 || stats.Misses != 1 {
-		t.Errorf("cache stats = %+v, want 1 hit / 1 miss", stats)
 	}
 }
 

@@ -23,8 +23,6 @@ type InstanceStats struct {
 	Processed uint64
 	// Dropped counts emissions lost to full queues.
 	Dropped uint64
-	// TypeErrors counts §4.1 runtime type-check failures.
-	TypeErrors uint64
 	// QueuedIn sums messages waiting on the instance's input queues.
 	QueuedIn int
 	// Latency is the instance's process-latency distribution in seconds,
@@ -84,7 +82,6 @@ func (st *Stream) StatsSnapshot() Stats {
 		switch nn := n.(type) {
 		case nativeNode:
 			is.State = nn.s.State().String()
-			is.TypeErrors = nn.s.TypeErrors()
 			is.Latency = nn.s.ProcessLatency()
 		case compositeNode:
 			is.Composite = true
@@ -120,8 +117,8 @@ func (s Stats) String() string {
 		if def == "" {
 			def = "-"
 		}
-		fmt.Fprintf(&b, "  %-12s %-16s %-9s processed=%-6d dropped=%-3d typeErrs=%-3d queuedIn=%d",
-			i.ID, "("+def+")", i.State, i.Processed, i.Dropped, i.TypeErrors, i.QueuedIn)
+		fmt.Fprintf(&b, "  %-12s %-16s %-9s processed=%-6d dropped=%-3d queuedIn=%d",
+			i.ID, "("+def+")", i.State, i.Processed, i.Dropped, i.QueuedIn)
 		if i.Latency.Count > 0 {
 			fmt.Fprintf(&b, " p95=%v", time.Duration(i.Latency.P95*float64(time.Second)).Round(time.Microsecond))
 		}

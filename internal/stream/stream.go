@@ -14,14 +14,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mobigate/internal/cache"
 	"mobigate/internal/event"
 	"mobigate/internal/mcl"
-	"mobigate/internal/mime"
 	"mobigate/internal/msgpool"
 	"mobigate/internal/obs"
 	"mobigate/internal/queue"
-	"mobigate/internal/semantics"
 	"mobigate/internal/streamlet"
 )
 
@@ -171,7 +168,6 @@ type Stream struct {
 	sessionID string
 	pool      *msgpool.Pool
 	dir       *streamlet.Directory
-	registry  *mime.Registry
 
 	// ErrorHandler receives asynchronous streamlet errors.
 	ErrorHandler func(error)
@@ -188,20 +184,9 @@ type Stream struct {
 	// pendingDetach records break-keep sinks left attached to drain after a
 	// disconnect; they are detached before the channel is reused (§4.2.2).
 	pendingDetach map[*queue.Queue]mcl.PortRef
-	// runtimeTypeCheck applies the §4.1 runtime check to streamlets added
-	// after EnableRuntimeTypeCheck.
-	runtimeTypeCheck bool
-	// cache, when set (EnableTranscodeCache), wraps every subsequently
-	// added cacheable processor (cache.Keyer) in the content-addressed
-	// memo decorator.
-	cache    *cache.Cache
-	started  bool
-	ended    bool
-	implicit int // counter for implicit channel names
-
-	// verifyRules, when set, re-runs the semantic analyses after every
-	// event-driven reconfiguration (§8.2.2 runtime assertions).
-	verifyRules *semantics.Rules
+	started       bool
+	ended         bool
+	implicit      int // counter for implicit channel names
 
 	// Fault supervision state (supervise.go): the sink ExecutionFault
 	// events are posted to, per-instance terminal-fault counts, instances
@@ -241,7 +226,6 @@ func New(name string, pool *msgpool.Pool, dir *streamlet.Directory) *Stream {
 		sessionID:     fmt.Sprintf("sess-%s-%d", name, sessionCounter.Add(1)),
 		pool:          pool,
 		dir:           dir,
-		registry:      mime.DefaultRegistry(),
 		nodes:         make(map[string]node),
 		decls:         make(map[string]*mcl.StreamletDecl),
 		queues:        make(map[string]*queue.Queue),
@@ -307,17 +291,9 @@ func (st *Stream) addStreamletLocked(id string, decl *mcl.StreamletDecl, proc st
 	if _, dup := st.nodes[id]; dup {
 		return nil, fmt.Errorf("stream %s: duplicate instance %q", st.name, id)
 	}
-	if st.cache != nil {
-		// Deterministic transforms run behind the content-addressed cache;
-		// non-Keyer processors come back unchanged.
-		proc = cache.Wrap(proc, st.cache)
-	}
 	s := streamlet.New(id, decl, proc, st.pool)
 	s.ErrorHandler = st.fail
 	s.ShareConsumed(st.consumed)
-	if st.runtimeTypeCheck {
-		s.EnableTypeCheck(st.registry)
-	}
 	st.nodes[id] = nativeNode{s: s}
 	st.decls[id] = decl
 	if st.started {
@@ -929,44 +905,6 @@ func (st *Stream) ActivateAll() {
 	for _, n := range st.nodes {
 		n.activate()
 	}
-}
-
-// EnableRuntimeTypeCheck turns on the §4.1 runtime message/port type check
-// for every current native streamlet, using the stream's type registry.
-// EnableTranscodeCache routes every subsequently added deterministic
-// transform (a processor implementing cache.Keyer) through the shared
-// content-addressed result cache: repeated bodies skip the transform and
-// replay the stored result. Call before deploying streamlets; instances
-// already added keep running uncached. Passing nil disables wrapping for
-// later additions.
-func (st *Stream) EnableTranscodeCache(c *cache.Cache) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.cache = c
-}
-
-func (st *Stream) EnableRuntimeTypeCheck() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.runtimeTypeCheck = true
-	for _, n := range st.nodes {
-		if nn, ok := n.(nativeNode); ok {
-			nn.s.EnableTypeCheck(st.registry)
-		}
-	}
-}
-
-// TypeErrors sums runtime type-check failures across native members.
-func (st *Stream) TypeErrors() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var total uint64
-	for _, n := range st.nodes {
-		if nn, ok := n.(nativeNode); ok {
-			total += nn.s.TypeErrors()
-		}
-	}
-	return total
 }
 
 // Quiesced reports that no member is processing or holding an in-flight

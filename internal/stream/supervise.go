@@ -211,11 +211,14 @@ func (st *Stream) healReplace(inst string, cfg SupervisionConfig) error {
 	// messages finish before the swap: Replace transfers the queues intact,
 	// so only the pump→worker handoff could lose a message — draining it
 	// first keeps the §6.6 no-loss property.
-	var producers []node
+	// The instance is paused too so its pump stops fetching what is still
+	// queued: a message it took after the drain would fault into postFault,
+	// which waits for st.mu while replace holds it and waits for the worker.
+	var paused []node
 	for _, c := range st.conns {
 		if c.to.Inst == inst {
 			if p, err := st.node(c.from.Inst); err == nil {
-				producers = append(producers, p)
+				paused = append(paused, p)
 			}
 		}
 	}
@@ -224,33 +227,33 @@ func (st *Stream) healReplace(inst string, cfg SupervisionConfig) error {
 		st.mu.Unlock()
 		return err
 	}
+	paused = append(paused, nt)
 	decl := st.decls[inst]
 	st.spareSeq++
 	spareID := fmt.Sprintf("%s~%d", inst, st.spareSeq)
 	st.mu.Unlock()
 
-	for _, p := range producers {
+	resume := func() {
+		for _, p := range paused {
+			p.activate()
+		}
+	}
+	for _, p := range paused {
 		p.pause()
 	}
 	if !waitUntil(time.Now().Add(cfg.HealDrainTimeout), nt.quiesced) {
-		for _, p := range producers {
-			p.activate()
-		}
+		resume()
 		mDrainTimeouts.Inc()
 		obs.FlightRecord(obs.FlightDrain, st.name, "heal-replace "+inst+" timeout", int64(cfg.HealDrainTimeout))
 		return fmt.Errorf("drain %s: %w", inst, ErrDrainTimeout)
 	}
 
 	if _, err := st.AddStreamlet(spareID, decl, cfg.Spare()); err != nil {
-		for _, p := range producers {
-			p.activate()
-		}
+		resume()
 		return err
 	}
 	if err := st.replace(inst, spareID); err != nil {
-		for _, p := range producers {
-			p.activate()
-		}
+		resume()
 		return err
 	}
 	// Replace reactivated the producers; arm the spare with the same policy.

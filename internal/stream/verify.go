@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"fmt"
-
 	"mobigate/internal/mcl"
 	"mobigate/internal/semantics"
 )
@@ -19,25 +17,6 @@ import (
 func (st *Stream) Verify(rules semantics.Rules) *semantics.Report {
 	g, open := st.snapshot()
 	return semantics.AnalyzeLive(st.name, g, open, rules)
-}
-
-// EnableLiveVerification re-runs Verify after every event-driven
-// reconfiguration; violations are reported through the stream's
-// ErrorHandler as *VerificationError values.
-func (st *Stream) EnableLiveVerification(rules semantics.Rules) {
-	st.mu.Lock()
-	st.verifyRules = &rules
-	st.mu.Unlock()
-}
-
-// VerificationError wraps a failed live verification.
-type VerificationError struct {
-	Report *semantics.Report
-}
-
-// Error implements error.
-func (e *VerificationError) Error() string {
-	return fmt.Sprintf("stream %s: live verification failed: %v", e.Report.Stream, e.Report.Violations)
 }
 
 // snapshot builds the live StreamGraph and the list of unbound declared
@@ -66,17 +45,4 @@ func (st *Stream) snapshot() (*semantics.Graph, []string) {
 		g.AddEdge(c.from.Inst, c.to.Inst)
 	}
 	return g, open
-}
-
-// verifyAfterReconfig runs the registered live verification, if any.
-func (st *Stream) verifyAfterReconfig() {
-	st.mu.Lock()
-	rules := st.verifyRules
-	st.mu.Unlock()
-	if rules == nil {
-		return
-	}
-	if rep := st.Verify(*rules); !rep.OK() {
-		st.fail(&VerificationError{Report: rep})
-	}
 }

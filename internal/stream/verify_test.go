@@ -2,9 +2,7 @@ package stream
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"mobigate/internal/mcl"
 	"mobigate/internal/semantics"
@@ -122,9 +120,9 @@ func TestVerifyUsesDefinitionNames(t *testing.T) {
 	}
 }
 
-func TestLiveVerificationAfterReconfig(t *testing.T) {
-	// A when-block that leaves a dangling output: with live verification
-	// enabled, the ErrorHandler receives a VerificationError.
+func TestVerifyAfterReconfig(t *testing.T) {
+	// A when-block that leaves a dangling output: Verify on the live
+	// topology must see what the reconfiguration did, not the script.
 	src := `
 streamlet f { port { in pi : text; out po : text; } attribute { type = STATELESS; library = "x/a"; } }
 main stream app {
@@ -145,41 +143,21 @@ main stream app {
 		t.Fatal(err)
 	}
 	defer st.End()
-	var mu sync.Mutex
-	var errs []error
-	st.ErrorHandler = func(err error) { mu.Lock(); errs = append(errs, err); mu.Unlock() }
-	// s2.po is a sanctioned exit; s1.po dangling after the disconnect is not.
-	st.EnableLiveVerification(semantics.Rules{AllowedOpenPorts: []string{"s2.po"}})
 	st.Start()
 
-	// Pre-reconfig topology is clean except s1.po... s1.po is connected, so
-	// only the sanctioned s2.po is open: Verify passes.
-	if rep := st.Verify(semantics.Rules{AllowedOpenPorts: []string{"s2.po"}}); !rep.OK() {
+	// s2.po is a sanctioned exit; s1.po is connected, so Verify passes.
+	rules := semantics.Rules{AllowedOpenPorts: []string{"s2.po"}}
+	if rep := st.Verify(rules); !rep.OK() {
 		t.Fatalf("pre-reconfig violations: %v", rep.Violations)
 	}
 	if err := st.RunWhen("LOW_BANDWIDTH"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(errs)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	rep := st.Verify(rules)
+	if rep.OK() {
+		t.Fatal("dangling s1.po after the disconnect not reported")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(errs) == 0 {
-		t.Fatal("live verification did not fire")
-	}
-	ve, ok := errs[0].(*VerificationError)
-	if !ok {
-		t.Fatalf("error type %T: %v", errs[0], errs[0])
-	}
-	if !strings.Contains(ve.Error(), "open-circuit") && !strings.Contains(ve.Error(), "s1.po") {
-		t.Errorf("error = %v", ve)
+	if v := rep.Violations[0]; v.Kind != "open-circuit" || !strings.Contains(v.String(), "s1.po") {
+		t.Errorf("violation = %v", v)
 	}
 }

@@ -14,9 +14,9 @@ package streamlet
 //     one consumer broadcast, one batched flight entry).
 //
 // Everything else is unchanged: produce/finish run per message, so
-// supervision, the transcode cache, tracing, and spans compose exactly as
-// in the single-item path; FIFO order is preserved end to end (drain and
-// flush both keep fetch order); and the conservation accounting holds —
+// supervision, tracing, and spans compose exactly as in the single-item
+// path; FIFO order is preserved end to end (drain and flush both keep
+// fetch order); and the conservation accounting holds —
 // inflight covers the batch from fetch to flush, and the source queue is
 // acked (AckN) only after the flush lands, so Quiesced, CanTerminate, and
 // the Figure 7-4 drains see batched items exactly as they see single ones.

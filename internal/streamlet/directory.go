@@ -30,10 +30,6 @@ type Traits struct {
 	// function of its input (no cross-message state, no order sensitivity),
 	// so the runtime may run N calls concurrently behind a resequencer.
 	Parallelizable bool
-	// Deterministic marks a library whose output depends only on the input
-	// body and its configured parameters, making results content-addressable
-	// (see internal/cache).
-	Deterministic bool
 	// PoolPreferred marks a library whose instance construction is expensive
 	// enough that §3.3.4 instance pooling pays for its own overhead; the
 	// Streamlet Manager pools only these by default.

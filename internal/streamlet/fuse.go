@@ -233,14 +233,6 @@ func (seg *FusedSegment) retire(id string) {
 func (seg *FusedSegment) runStage(k int, msg *mime.Message, wait time.Duration, enqueuedNs int64, src *queue.Queue) {
 	m := seg.members[k]
 	port := seg.ports[k]
-	if err := m.checkInputType(port, msg); err != nil {
-		m.typeErrs.Add(1)
-		mTypeErrorsTotal.Inc()
-		m.fail(err)
-		seg.retire(msg.ID)
-		m.consume(1)
-		return
-	}
 	// Mirrors produce: capture what the trace needs before Process runs,
 	// sample the latency histogram, and skip every clock read when nothing
 	// consumes it.
@@ -310,7 +302,7 @@ func (seg *FusedSegment) runStage(k int, msg *mime.Message, wait time.Duration, 
 	}
 
 	peerID := ""
-	if p, ok := Base(m.proc).(Peered); ok && !res.bypassed {
+	if p, ok := m.proc.(Peered); ok && !res.bypassed {
 		peerID = p.PeerID()
 	}
 

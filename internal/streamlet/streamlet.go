@@ -23,9 +23,8 @@ import (
 // Gateway-wide streamlet metrics; per-instance process latency is a
 // labeled histogram created per instance id in New.
 var (
-	mProcessedTotal  = obs.DefaultCounter(obs.MStreamProcessedTotal)
-	mDroppedTotal    = obs.DefaultCounter(obs.MStreamDroppedTotal)
-	mTypeErrorsTotal = obs.DefaultCounter(obs.MStreamTypeErrorsTotal)
+	mProcessedTotal = obs.DefaultCounter(obs.MStreamProcessedTotal)
+	mDroppedTotal   = obs.DefaultCounter(obs.MStreamDroppedTotal)
 )
 
 // Input is one message arriving on a named input port.
@@ -65,29 +64,6 @@ type Configurable interface {
 	SetParam(name, value string) error
 }
 
-// Unwrapper is implemented by processor decorators (such as the transcode
-// cache's memo wrapper); Unwrap returns the decorated processor.
-type Unwrapper interface {
-	Unwrap() Processor
-}
-
-// Base returns the innermost processor behind any decorator chain. The
-// runtime consults Base for capability interfaces tied to the computation
-// itself (Peered, Configurable), so decorators stay transparent.
-func Base(p Processor) Processor {
-	for {
-		u, ok := p.(Unwrapper)
-		if !ok {
-			return p
-		}
-		inner := u.Unwrap()
-		if inner == nil {
-			return p
-		}
-		p = inner
-	}
-}
-
 // Configure applies a parameter map to a processor through its control
 // interface. A non-nil params map on a non-Configurable processor is an
 // error (the declaration promises tunability the implementation lacks).
@@ -96,9 +72,6 @@ func Configure(proc Processor, params map[string]string) error {
 		return nil
 	}
 	c, ok := proc.(Configurable)
-	if !ok {
-		c, ok = Base(proc).(Configurable)
-	}
 	if !ok {
 		return fmt.Errorf("streamlet: processor %T has no control interface for params %v", proc, params)
 	}
@@ -158,12 +131,6 @@ type Streamlet struct {
 	// ErrorHandler, when set before Start, receives processing errors (the
 	// message that caused one is dropped). Defaults to discarding.
 	ErrorHandler func(error)
-
-	// typeCheck, when non-nil, enforces the §4.1 runtime check: every
-	// message entering a declared input port must carry a Content-Type
-	// equal to or specializing the port's declared type.
-	typeCheck *mime.Registry
-	typeErrs  atomic.Uint64
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -360,21 +327,6 @@ func (s *Streamlet) Processed() uint64 { return s.processed.Load() }
 // ProcessLatency returns the instance's process-latency distribution (the
 // Figure 7-2 per-streamlet cost), drawn from the shared metrics registry.
 func (s *Streamlet) ProcessLatency() obs.HistogramSnapshot { return s.procHist.Snapshot() }
-
-// EnableTypeCheck turns on runtime message/port type matching against the
-// given registry (nil selects the default registry). Messages that fail
-// the check are dropped and reported through the ErrorHandler.
-func (s *Streamlet) EnableTypeCheck(reg *mime.Registry) {
-	if reg == nil {
-		reg = mime.DefaultRegistry()
-	}
-	s.mu.Lock()
-	s.typeCheck = reg
-	s.mu.Unlock()
-}
-
-// TypeErrors returns how many messages failed the runtime type check.
-func (s *Streamlet) TypeErrors() uint64 { return s.typeErrs.Load() }
 
 // Quiesced reports that no fetched message is awaiting or undergoing
 // processing. A paused streamlet quiesces once its in-flight messages (if
@@ -774,14 +726,6 @@ func (s *Streamlet) produce(it workItem, slot *execSlot) completion {
 		c.skip = true
 		return c
 	}
-	if err := s.checkInputType(it.port, msg); err != nil {
-		s.typeErrs.Add(1)
-		mTypeErrorsTotal.Inc()
-		s.fail(err)
-		s.pool.Remove(it.msgID)
-		c.skip = true
-		return c
-	}
 	c.tracing = obs.TracingEnabled()
 	if obs.SpansEnabled() {
 		// Only messages already inside a trace (stamped at the inlet) grow
@@ -864,7 +808,7 @@ func (s *Streamlet) finish(c *completion, sink *emitSink) {
 	peerID := ""
 	// A bypassed message was not transformed, so the peer chain must not
 	// promise a reversal at the client.
-	if p, ok := Base(s.proc).(Peered); ok && !res.bypassed {
+	if p, ok := s.proc.(Peered); ok && !res.bypassed {
 		peerID = p.PeerID()
 	}
 
@@ -1076,27 +1020,6 @@ func (s *Streamlet) resolveOut(port string) *queue.Queue {
 		for _, q := range s.outs {
 			return q
 		}
-	}
-	return nil
-}
-
-// checkInputType enforces the runtime port-type check of §4.1 when enabled
-// and a declaration is available for the port.
-func (s *Streamlet) checkInputType(port string, msg *mime.Message) error {
-	s.mu.Lock()
-	reg := s.typeCheck
-	s.mu.Unlock()
-	if reg == nil || s.decl == nil {
-		return nil
-	}
-	p, ok := s.decl.Port(port)
-	if !ok {
-		return nil
-	}
-	ct := msg.ContentType()
-	if !reg.SubtypeOf(ct, p.Type) {
-		return fmt.Errorf("streamlet %s: message %s type %s violates port %s : %s; message dropped",
-			s.id, msg.ID, ct, port, p.Type)
 	}
 	return nil
 }
